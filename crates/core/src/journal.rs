@@ -118,7 +118,7 @@ pub struct TileRecord {
 /// FNV-1a 64-bit hash of `bytes` — the per-line checksum. Shared with the
 /// tile result cache ([`crate::tile_cache`]), which frames its entries the
 /// same way.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         hash ^= b as u64;
