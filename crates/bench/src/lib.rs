@@ -657,7 +657,8 @@ mod tests {
                 "phase": "scan",
                 "threads": 2,
                 "stages": [],
-                "total_wall_ms": 12.5
+                "total_wall_ms": 12.5,
+                "obs_sinks": []
             }
         }"#;
         let back: ScanBenchReport = serde_json::from_str(v1).expect("parse v1");

@@ -136,8 +136,8 @@ USAGE:
                    [--report <report.json>] [--actual <actual.json>]
 
 Benchmarks: array_benchmark1..5, mx_blind_partial.
---threads 0 means one worker per core. `detect`/`scan` `--telemetry` merges
-the model's training telemetry with the run into an eight-stage record.
+--threads 0 means one worker per core. `--telemetry` writes the per-stage
+telemetry of this run only; the run's counts are in its `--json` report.
 --eval-mode selects the kernel-evaluation engine: `compiled` (default)
 routes admission through the batched 8-orientation centroid router and
 the flattened SVM engine; `reference` keeps the naive per-kernel search
@@ -445,10 +445,7 @@ fn cmd_detect(opts: &Opts) -> Result<String, CliError> {
     let report = detector.detect_with_threshold(&layout, layer, threshold)?;
     write_json(&out, &report.reported)?;
     if let Some(path) = opts.get("telemetry") {
-        // Merge the model's persisted training telemetry with this run so
-        // the file covers all eight pipeline stages.
-        let merged = detector.summary().telemetry.merge(&report.telemetry);
-        write_json(path, &merged)?;
+        write_json(path, &report.telemetry)?;
     }
     if opts.has("json") {
         return Ok(serde_json::to_string_pretty(&report)?);
@@ -584,8 +581,7 @@ fn cmd_scan(opts: &Opts) -> Result<(String, i32), CliError> {
     }
     write_json(&out, &report.reported)?;
     if let Some(path) = opts.get("telemetry") {
-        let merged = detector.summary().telemetry.merge(&report.telemetry);
-        write_json(path, &merged)?;
+        write_json(path, &report.telemetry)?;
     }
     // An abort outranks quarantined tiles: the scan is incomplete, and
     // that is the fact a calling script must react to first.
@@ -920,17 +916,19 @@ mod tests {
         assert!(out.contains("\"tiles_scanned\""), "{out}");
         assert!(out.contains("\"peak_in_flight\""), "{out}");
 
-        // The telemetry file is the merged training + detection record:
-        // valid JSON covering all eight pipeline stages (the density
-        // prefilter is zero-filled — it only does work in `scan`).
+        // The telemetry file holds this detect run's own stages only, not
+        // the training stages of the earlier `train` process.
         let t: hotspot_core::PipelineTelemetry =
             serde_json::from_str(&std::fs::read_to_string(&telemetry).unwrap()).unwrap();
         assert_eq!(t.schema_version, hotspot_core::TELEMETRY_SCHEMA_VERSION);
-        assert_eq!(t.stages.len(), 8, "expected all eight stages: {t:?}");
-        assert!(t
-            .stages
-            .iter()
-            .all(|s| s.threads_used >= 1 || s.items_in == 0));
+        assert_eq!(t.phase, "detection");
+        let stages: Vec<&str> = t.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(
+            stages,
+            ["clip_extraction", "kernel_evaluation", "clip_removal"],
+            "{t:?}"
+        );
+        assert!(t.stages.iter().all(|s| s.threads_used >= 1));
 
         let out = run(&argv(&[
             "score",

@@ -64,10 +64,6 @@ pub enum DetectError {
     Internal(String),
 }
 
-/// Former name of [`DetectError`].
-#[deprecated(since = "0.2.0", note = "renamed to `DetectError`")]
-pub type TrainPipelineError = DetectError;
-
 impl fmt::Display for DetectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -177,8 +173,7 @@ pub struct TrainingSummary {
     /// Wall-clock training time.
     #[serde(skip)]
     pub training_time: Duration,
-    /// Per-stage telemetry of the training phase. Persisted with the model,
-    /// so a later `detect` can merge it into a full eight-stage record.
+    /// Per-stage telemetry of the training phase, persisted with the model.
     pub telemetry: PipelineTelemetry,
 }
 
@@ -460,19 +455,6 @@ impl HotspotDetector {
         self
     }
 
-    /// Former boolean engine toggle.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `with_eval_mode(EvalMode::Reference)` / `with_eval_mode(EvalMode::Compiled)`"
-    )]
-    pub fn with_reference_eval(self, reference: bool) -> Self {
-        self.with_eval_mode(if reference {
-            EvalMode::Reference
-        } else {
-            EvalMode::Compiled
-        })
-    }
-
     /// An evaluation handle at the configured
     /// [`decision_threshold`](DetectorConfig::decision_threshold), with
     /// the engines selected by the configured [`EvalMode`]. The handle
@@ -527,7 +509,7 @@ impl HotspotDetector {
     /// [`detect`](Self::detect) and
     /// [`scan_layout`](Self::scan_layout) emit span events and record
     /// lock-free progress counters into `hub`, and the run's telemetry
-    /// lists the hub's sinks (schema v6). Observation only — reports,
+    /// lists the hub's sinks. Observation only — reports,
     /// digests and telemetry contents are bit-identical with and without
     /// a hub. Not persisted with the model.
     pub fn with_obs(mut self, hub: Arc<ObsHub>) -> Self {
@@ -702,13 +684,12 @@ impl HotspotDetector {
             }
         }
         let classification_time = t1.elapsed();
-        recorder.record_batched(
+        recorder.record(
             StageId::KernelEvaluation,
             clips.len(),
             clips_flagged,
             classification_time,
             Some(&exec_stats),
-            eval_batches,
         );
         recorder.record_admissions(StageId::KernelEvaluation, admissions, admission_skips);
         if let Some(hub) = &self.obs {
@@ -1149,6 +1130,32 @@ mod tests {
         // The merged record always carries all eight canonical stages.
         let merged = t.merge(d);
         assert_eq!(merged.stages.len(), 8);
+    }
+
+    #[test]
+    fn v8_telemetry_decodes_alone_and_inside_a_saved_model() {
+        // v9 dropped the scan counts; readers ignore the unknown keys.
+        let v8 = r#"{"schema_version":8,"phase":"training","threads":2,
+            "stages":[{"stage":"kernel_training","wall_ms":1.5,"items_in":4,
+            "items_out":2,"threads_used":2,"tasks_executed":3,"tasks_stolen":1,
+            "batches":0,"failures":0,"retries":0,"admissions":0,
+            "admission_skips":0,"timeouts":0}],
+            "total_wall_ms":2.0,"resumed_tiles":0,"cache_hits":0,
+            "cache_misses":0,"recomputed_tiles":0,"timed_out":0,
+            "aborted_reason":null,"obs_sinks":[]}"#;
+        let t: PipelineTelemetry = serde_json::from_str(v8).unwrap();
+        assert_eq!(t.schema_version, 8);
+        assert_eq!(t.stage(StageId::KernelTraining).unwrap().tasks_stolen, 1);
+
+        // A model saved by a v8 build embeds such a record in its summary.
+        let det = HotspotDetector::train(&training_set(), fast_config()).unwrap();
+        let model = serde_json::to_string(&det).unwrap();
+        let current = serde_json::to_string(&det.summary().telemetry).unwrap();
+        let saved_by_v8 = model.replace(&current, v8);
+        assert_ne!(saved_by_v8, model);
+        let restored: HotspotDetector = serde_json::from_str(&saved_by_v8).unwrap();
+        assert_eq!(restored.summary().telemetry, t);
+        assert_eq!(restored.kernels(), det.kernels());
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl StageId {
             .position(|&s| s == self)
             .expect("stage is canonical")
     }
-
-    /// Position in the canonical order, for sorting telemetry output.
-    fn rank(self) -> usize {
-        self.index()
-    }
 }
 
 impl fmt::Display for StageId {
@@ -98,14 +93,10 @@ impl fmt::Display for StageId {
 pub struct StageRecorder {
     phase: String,
     threads: usize,
-    stages: Vec<(StageId, StageTelemetry)>,
+    /// Entries indexed by [`StageId::index`], so they finish in canonical
+    /// order.
+    stages: [Option<StageTelemetry>; StageId::ALL.len()],
     started: Instant,
-    resumed_tiles: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    recomputed_tiles: usize,
-    timed_out: usize,
-    aborted_reason: Option<String>,
     obs_sinks: Vec<String>,
 }
 
@@ -116,21 +107,15 @@ impl StageRecorder {
         StageRecorder {
             phase: phase.to_string(),
             threads,
-            stages: Vec::new(),
+            stages: Default::default(),
             started: Instant::now(),
-            resumed_tiles: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            recomputed_tiles: 0,
-            timed_out: 0,
-            aborted_reason: None,
             obs_sinks: Vec::new(),
         }
     }
 
-    /// Records the observability sinks active during this phase (schema
-    /// v6). The list is carried verbatim into the finished telemetry;
-    /// phases run without an [`ObsHub`](crate::obs::ObsHub) leave it empty.
+    /// Records the observability sinks active during this phase. The list
+    /// is carried verbatim into the finished telemetry; phases run without
+    /// an [`ObsHub`](crate::obs::ObsHub) leave it empty.
     pub fn set_obs_sinks(&mut self, sinks: Vec<String>) {
         self.obs_sinks = sinks;
     }
@@ -146,131 +131,34 @@ impl StageRecorder {
         wall: Duration,
         stats: Option<&ExecutorStats>,
     ) {
-        self.record_batched(stage, items_in, items_out, wall, stats, 0);
-    }
-
-    /// [`record`](Self::record) for a stage that ran `batches` clip batches
-    /// through the batched SVM inference engine.
-    pub fn record_batched(
-        &mut self,
-        stage: StageId,
-        items_in: usize,
-        items_out: usize,
-        wall: Duration,
-        stats: Option<&ExecutorStats>,
-        batches: usize,
-    ) {
         let (threads_used, tasks_executed, tasks_stolen) = match stats {
             Some(s) => (s.threads_used, s.tasks_executed, s.tasks_stolen),
             None => (1, 1, 0),
         };
-        let entry = StageTelemetry {
-            stage: stage.name().to_string(),
+        self.entry(stage).absorb(&StageTelemetry {
             wall_ms: wall.as_secs_f64() * 1e3,
             items_in,
             items_out,
             threads_used,
             tasks_executed,
             tasks_stolen,
-            batches,
-            failures: stats.map_or(0, |s| s.tasks_failed),
-            retries: 0,
-            admissions: 0,
-            admission_skips: 0,
-            timeouts: 0,
-        };
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => {
-                existing.wall_ms += entry.wall_ms;
-                existing.items_in += entry.items_in;
-                existing.items_out += entry.items_out;
-                existing.threads_used = existing.threads_used.max(entry.threads_used);
-                existing.tasks_executed += entry.tasks_executed;
-                existing.tasks_stolen += entry.tasks_stolen;
-                existing.batches += entry.batches;
-                existing.failures += entry.failures;
-                existing.retries += entry.retries;
-            }
-            None => self.stages.push((stage, entry)),
-        }
+            ..StageTelemetry::empty(stage)
+        });
     }
 
     /// Folds admission counters into `stage`: `admissions` clip-kernel
     /// pairs admitted to SVM evaluation and `admission_skips`
-    /// centroid-orientation rows the compiled router pruned (schema v5).
-    /// Creates a zero-time entry when the stage has not been recorded yet.
-    pub fn record_admissions(&mut self, stage: StageId, admissions: u64, admission_skips: u64) {
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => {
-                existing.admissions += admissions;
-                existing.admission_skips += admission_skips;
-            }
-            None => {
-                let mut entry = StageTelemetry::empty(stage);
-                entry.admissions = admissions;
-                entry.admission_skips = admission_skips;
-                self.stages.push((stage, entry));
-            }
-        }
-    }
-
-    /// Folds fault-tolerance counters into `stage`: `failures` panicking
-    /// task attempts and `retries` re-attempts (schema v4). Creates a
+    /// centroid-orientation rows the compiled router pruned. Creates a
     /// zero-time entry when the stage has not been recorded yet.
-    pub fn record_faults(&mut self, stage: StageId, failures: usize, retries: usize) {
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => {
-                existing.failures += failures;
-                existing.retries += retries;
-            }
-            None => {
-                let mut entry = StageTelemetry::empty(stage);
-                entry.failures = failures;
-                entry.retries = retries;
-                self.stages.push((stage, entry));
-            }
-        }
+    pub fn record_admissions(&mut self, stage: StageId, admissions: u64, admission_skips: u64) {
+        let entry = self.entry(stage);
+        entry.admissions += admissions;
+        entry.admission_skips += admission_skips;
     }
 
-    /// Folds soft-budget timeouts into `stage` (schema v8): `timeouts`
-    /// tasks quarantined for exceeding
-    /// [`ScanConfig::tile_timeout`](crate::ScanConfig::tile_timeout). Also
-    /// added to the run-level `timed_out` total. Creates a zero-time entry
-    /// when the stage has not been recorded yet.
-    pub fn record_timeouts(&mut self, stage: StageId, timeouts: usize) {
-        self.timed_out += timeouts;
-        match self.stages.iter_mut().find(|(id, _)| *id == stage) {
-            Some((_, existing)) => existing.timeouts += timeouts,
-            None => {
-                let mut entry = StageTelemetry::empty(stage);
-                entry.timeouts = timeouts;
-                self.stages.push((stage, entry));
-            }
-        }
-    }
-
-    /// Records that the run stopped early, with the stable
-    /// [`AbortReason::name`](crate::AbortReason::name) string (schema v8).
-    /// The first recorded reason wins.
-    pub fn set_aborted(&mut self, reason: &str) {
-        if self.aborted_reason.is_none() {
-            self.aborted_reason = Some(reason.to_string());
-        }
-    }
-
-    /// Adds tiles replayed from a scan journal to the run-level resume
-    /// counter (schema v4).
-    pub fn add_resumed_tiles(&mut self, tiles: usize) {
-        self.resumed_tiles += tiles;
-    }
-
-    /// Adds one batch's tile-cache traffic to the run-level cache counters
-    /// (schema v7): `hits` cache-served tiles, `misses` the cache could
-    /// not serve, and `recomputed` tiles that ran the full pipeline.
-    pub fn add_cache_stats(&mut self, hits: usize, misses: usize, recomputed: usize) {
-        self.cache_hits += hits;
-        self.cache_misses += misses;
-        self.recomputed_tiles += recomputed;
+    /// The accumulated entry for `stage`, created empty on first use.
+    fn entry(&mut self, stage: StageId) -> &mut StageTelemetry {
+        self.stages[stage.index()].get_or_insert_with(|| StageTelemetry::empty(stage))
     }
 
     /// Times `f` as one execution of `stage`; the closure returns its value
@@ -287,22 +175,15 @@ impl StageRecorder {
         value
     }
 
-    /// Finalises the telemetry: stages are sorted into canonical order and
-    /// the phase's total wall time is stamped.
-    pub fn finish(mut self) -> PipelineTelemetry {
-        self.stages.sort_by_key(|(id, _)| id.rank());
+    /// Finalises the telemetry: the recorded stages in canonical order,
+    /// stamped with the phase's total wall time.
+    pub fn finish(self) -> PipelineTelemetry {
         PipelineTelemetry {
             schema_version: TELEMETRY_SCHEMA_VERSION,
             phase: self.phase,
             threads: self.threads,
-            stages: self.stages.into_iter().map(|(_, s)| s).collect(),
+            stages: self.stages.into_iter().flatten().collect(),
             total_wall_ms: self.started.elapsed().as_secs_f64() * 1e3,
-            resumed_tiles: self.resumed_tiles,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            recomputed_tiles: self.recomputed_tiles,
-            timed_out: self.timed_out,
-            aborted_reason: self.aborted_reason,
             obs_sinks: self.obs_sinks,
         }
     }
@@ -358,17 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn record_batched_accumulates_batches() {
-        let mut rec = StageRecorder::new("detection", 2);
-        rec.record_batched(StageId::KernelEvaluation, 100, 3, Duration::ZERO, None, 2);
-        rec.record_batched(StageId::KernelEvaluation, 60, 1, Duration::ZERO, None, 1);
-        rec.record(StageId::ClipRemoval, 4, 4, Duration::ZERO, None);
-        let t = rec.finish();
-        assert_eq!(t.stage(StageId::KernelEvaluation).unwrap().batches, 3);
-        assert_eq!(t.stage(StageId::ClipRemoval).unwrap().batches, 0);
-    }
-
-    #[test]
     fn finish_sorts_into_canonical_order() {
         let mut rec = StageRecorder::new("detection", 1);
         rec.record(StageId::ClipRemoval, 1, 1, Duration::ZERO, None);
@@ -378,24 +248,6 @@ mod tests {
         assert_eq!(t.stages[1].stage, "clip_removal");
         assert_eq!(t.phase, "detection");
         assert_eq!(t.threads, 1);
-    }
-
-    #[test]
-    fn record_faults_folds_into_existing_or_new_entries() {
-        let mut rec = StageRecorder::new("scan", 2);
-        rec.record(StageId::KernelEvaluation, 10, 2, Duration::ZERO, None);
-        rec.record_faults(StageId::KernelEvaluation, 3, 2);
-        rec.record_faults(StageId::DensityPrefilter, 1, 0);
-        rec.add_resumed_tiles(4);
-        rec.add_resumed_tiles(1);
-        let t = rec.finish();
-        let eval = t.stage(StageId::KernelEvaluation).unwrap();
-        assert_eq!(eval.failures, 3);
-        assert_eq!(eval.retries, 2);
-        let pre = t.stage(StageId::DensityPrefilter).unwrap();
-        assert_eq!(pre.failures, 1);
-        assert_eq!(pre.wall_ms, 0.0);
-        assert_eq!(t.resumed_tiles, 5);
     }
 
     #[test]
@@ -412,31 +264,6 @@ mod tests {
         let pre = t.stage(StageId::DensityPrefilter).unwrap();
         assert_eq!(pre.admissions, 1);
         assert_eq!(pre.wall_ms, 0.0);
-    }
-
-    #[test]
-    fn record_timeouts_folds_per_stage_and_run_level() {
-        let mut rec = StageRecorder::new("scan", 2);
-        rec.record(StageId::KernelEvaluation, 10, 2, Duration::ZERO, None);
-        rec.record_timeouts(StageId::KernelEvaluation, 2);
-        rec.record_timeouts(StageId::KernelEvaluation, 1);
-        rec.set_aborted("deadline_exceeded");
-        rec.set_aborted("interrupted"); // first reason wins
-        let t = rec.finish();
-        assert_eq!(t.stage(StageId::KernelEvaluation).unwrap().timeouts, 3);
-        assert_eq!(t.timed_out, 3);
-        assert_eq!(t.aborted_reason.as_deref(), Some("deadline_exceeded"));
-    }
-
-    #[test]
-    fn add_cache_stats_accumulates_run_level_counters() {
-        let mut rec = StageRecorder::new("scan", 2);
-        rec.add_cache_stats(3, 1, 1);
-        rec.add_cache_stats(0, 4, 4);
-        let t = rec.finish();
-        assert_eq!(t.cache_hits, 3);
-        assert_eq!(t.cache_misses, 5);
-        assert_eq!(t.recomputed_tiles, 5);
     }
 
     #[test]

@@ -500,7 +500,7 @@ pub struct ObsRecord {
 /// assert_eq!(hub.sink_names(), vec!["counting".to_string()]);
 /// ```
 pub trait ObsSink: Send + Sync {
-    /// Short stable sink name, recorded in telemetry (schema v6).
+    /// Short stable sink name, recorded in telemetry.
     fn name(&self) -> &str;
 
     /// Called for every emitted event (from pipeline and sampler threads).
@@ -628,7 +628,7 @@ impl ObsHub {
     }
 
     /// Names of all registered sinks and endpoints, in registration
-    /// order — recorded into `PipelineTelemetry::obs_sinks` (schema v6).
+    /// order — recorded into `PipelineTelemetry::obs_sinks`.
     pub fn sink_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .sinks

@@ -945,10 +945,8 @@ impl HotspotDetector {
                 fresh_tasks.push((pos, id));
             }
             resumed_total += batch_resumed;
-            recorder.add_resumed_tiles(batch_resumed);
             cache_hits_total += batch_hits;
             cache_misses_total += batch_misses;
-            recorder.add_cache_stats(batch_hits, batch_misses, fresh_tasks.len());
 
             let (results, stats) = if fresh_tasks.is_empty() {
                 (
@@ -995,9 +993,6 @@ impl HotspotDetector {
 
             // Retry failed tiles once, sequentially, then apply the
             // failure policy to any that fail again.
-            let mut retry_failures = 0usize;
-            let mut batch_retries = 0usize;
-            let mut batch_timeouts = 0usize;
             let mut batch_quarantined = 0usize;
             for (result, &(pos, id)) in results.into_iter().zip(&fresh_tasks) {
                 match result {
@@ -1014,7 +1009,7 @@ impl HotspotDetector {
                             // resume instead.
                             continue;
                         }
-                        batch_retries += 1;
+                        retries_total += 1;
                         if let Some(hub) = obs {
                             hub.counters().add(Counter::TaskRetries, 1);
                         }
@@ -1042,16 +1037,12 @@ impl HotspotDetector {
                             // stays empty for resume.
                             Err(payload) if payload.downcast_ref::<CancelPanic>().is_some() => {}
                             Err(payload) => {
-                                retry_failures += 1;
                                 let timed_out = payload.downcast_ref::<TimeoutPanic>().is_some();
                                 let kind = if timed_out {
                                     FailureKind::TimedOut
                                 } else {
                                     FailureKind::Panicked
                                 };
-                                if timed_out {
-                                    batch_timeouts += 1;
-                                }
                                 let reason = panic_payload_to_string(payload.as_ref());
                                 if let Some(hub) = obs {
                                     hub.counters().add(Counter::TilesQuarantined, 1);
@@ -1098,7 +1089,6 @@ impl HotspotDetector {
                     }
                 }
             }
-            retries_total += batch_retries;
             // Tiles actually processed this batch: replayed, cache-served,
             // freshly computed, or quarantined — but *not* those skipped by
             // a mid-batch abort, which the resumed scan will process. On an
@@ -1181,13 +1171,12 @@ impl HotspotDetector {
                 outcomes.iter().map(|o| o.extract_time).sum(),
                 None,
             );
-            recorder.record_batched(
+            recorder.record(
                 StageId::KernelEvaluation,
                 batch_clips,
                 batch_flagged,
                 outcomes.iter().map(|o| o.eval_time).sum(),
                 Some(&stats),
-                batch_evals,
             );
             let batch_admissions: u64 = outcomes.iter().map(|o| o.admissions).sum();
             let batch_admission_skips: u64 = outcomes.iter().map(|o| o.admission_skips).sum();
@@ -1196,14 +1185,6 @@ impl HotspotDetector {
                 batch_admissions,
                 batch_admission_skips,
             );
-            // First-attempt failures came in through the executor stats;
-            // fold in the sequential retries and their failures.
-            if batch_retries > 0 {
-                recorder.record_faults(StageId::KernelEvaluation, retry_failures, batch_retries);
-            }
-            if batch_timeouts > 0 {
-                recorder.record_timeouts(StageId::KernelEvaluation, batch_timeouts);
-            }
             tiles_prefiltered += prefiltered;
             clips_extracted += batch_clips;
             clips_flagged += batch_flagged;
@@ -1277,9 +1258,6 @@ impl HotspotDetector {
         // Stop the watchdog before the terminal event, so no heartbeat can
         // trail a ScanAborted/ScanCompleted in the event stream.
         drop(watchdog);
-        if let Some(reason) = aborted {
-            recorder.set_aborted(reason.name());
-        }
         if let Some(hub) = obs {
             hub.clear_deadline_remaining();
             match aborted {

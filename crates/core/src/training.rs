@@ -154,11 +154,9 @@ pub fn feature_vector_padded(
 ///
 /// Orientation and critical-feature extraction are the expensive half of
 /// clip evaluation, so a clip admitted by several kernels must pay them
-/// once, not once per kernel (as [`flagging_kernels`] originally did).
-/// Padding to each kernel's `feature_len` is cheap and cached by length,
-/// so kernels sharing a feature length share one padded vector.
-///
-/// [`flagging_kernels`]: crate::feedback::flagging_kernels
+/// once, not once per kernel. Padding to each kernel's `feature_len` is
+/// cheap and cached by length, so kernels sharing a feature length share
+/// one padded vector.
 pub struct FeatureMemo<'a> {
     pattern: &'a Pattern,
     region: Region,

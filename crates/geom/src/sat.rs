@@ -251,16 +251,6 @@ impl AreaTable {
         i128::from(covered)
     }
 
-    /// [`AreaTable::covered_area`] narrowed to `i64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the covered area exceeds `i64::MAX` nm² (a query window
-    /// kilometres across; impossible for real layouts).
-    pub fn covered_area_i64(&self, query: &Rect) -> i64 {
-        i64::try_from(self.covered_area(query)).expect("covered area exceeds i64")
-    }
-
     /// Rasterises the table into an `nx × ny` [`DensityGrid`] over `window`,
     /// bit-identical to [`DensityGrid::from_rects`] on the same rects
     /// (overlapping or not): each cell's exact integer overlap sum is read

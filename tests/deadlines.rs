@@ -134,10 +134,6 @@ fn zero_deadline_aborts_before_the_first_batch() {
     assert_eq!(report.aborted, Some(AbortReason::DeadlineExceeded));
     assert_eq!(report.tiles_scanned, 0, "no batch may be admitted");
     assert!(report.failed_tiles.is_empty());
-    assert_eq!(
-        report.telemetry.aborted_reason.as_deref(),
-        Some("deadline_exceeded")
-    );
 
     // The journal is a valid header-only file; resuming it finishes the
     // scan with the clean digest.
@@ -233,7 +229,12 @@ fn tile_timeout_quarantines_exactly_the_stalled_set_at_any_thread_count() {
         // Stalls fire on the retry too, so each stalled tile is retried
         // once and then quarantined — same semantics as a panicking tile.
         assert_eq!(report.retries, stalled.len());
-        assert_eq!(report.telemetry.timed_out, stalled.len());
+        let timed_out = report
+            .failed_tiles
+            .iter()
+            .filter(|f| f.kind == FailureKind::TimedOut)
+            .count();
+        assert_eq!(timed_out, stalled.len());
 
         // Timed-out tiles are never journaled.
         let contents = read_journal(&journal).expect("journal reads back");
@@ -268,10 +269,6 @@ fn precancelled_token_aborts_as_interrupted_and_outranks_the_deadline() {
     let report = run(&scan, 2);
     assert_eq!(report.aborted, Some(AbortReason::Interrupted));
     assert_eq!(report.tiles_scanned, 0);
-    assert_eq!(
-        report.telemetry.aborted_reason.as_deref(),
-        Some("interrupted")
-    );
 }
 
 #[test]
@@ -287,8 +284,7 @@ fn generous_budgets_leave_the_scan_bit_identical() {
     let report = run(&scan, 2);
     assert_eq!(report.aborted, None);
     assert_eq!(report.retries, 0);
-    assert_eq!(report.telemetry.timed_out, 0);
-    assert_eq!(report.telemetry.aborted_reason, None);
+    assert!(report.failed_tiles.is_empty());
     assert_eq!(report.digest(), clean_report().digest());
 }
 

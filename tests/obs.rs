@@ -96,7 +96,7 @@ fn full_sink_stack_leaves_scan_report_bit_identical() {
             "observed scan diverged at {threads} thread(s)"
         );
         assert_eq!(observed.reported, bare.reported);
-        // Telemetry (schema v6) records which sinks watched the run.
+        // Telemetry records which sinks watched the run.
         assert_eq!(
             observed.telemetry.obs_sinks,
             vec!["ndjson".to_string(), "prometheus".to_string()]
